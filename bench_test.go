@@ -677,11 +677,36 @@ func benchmarkScaleRun(b *testing.B, jobs int) {
 	}
 }
 
+// benchmarkScaleCompile measures plan.Compile alone: interning, the
+// invocation tables, the combined static order and the related-pid lists.
+func benchmarkScaleCompile(b *testing.B, jobs int) {
+	tg, err := taskgraph.Derive(scaleNet(jobs))
+	if err != nil {
+		b.Fatal(err)
+	}
+	s, err := sched.ListSchedule(tg, scaleProcessors, sched.ALAPEDF)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC() // see benchmarkScaleDerive
+		b.StartTimer()
+		if _, err := fppn.Compile(s); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkScaleDerive10k(b *testing.B)    { benchmarkScaleDerive(b, 10000) }
 func BenchmarkScaleSchedule10k(b *testing.B)  { benchmarkScaleSchedule(b, 10000) }
+func BenchmarkScaleCompile10k(b *testing.B)   { benchmarkScaleCompile(b, 10000) }
 func BenchmarkScaleRun10k(b *testing.B)       { benchmarkScaleRun(b, 10000) }
 func BenchmarkScaleDerive100k(b *testing.B)   { benchmarkScaleDerive(b, 100000) }
 func BenchmarkScaleSchedule100k(b *testing.B) { benchmarkScaleSchedule(b, 100000) }
+func BenchmarkScaleCompile100k(b *testing.B)  { benchmarkScaleCompile(b, 100000) }
 func BenchmarkScaleRun100k(b *testing.B)      { benchmarkScaleRun(b, 100000) }
 
 // benchmarkPortfolioWorkers races all four SP heuristics on the FMS task

@@ -22,7 +22,8 @@
 // Lines that are not benchmark results (package headers, PASS/ok trailers)
 // are ignored. The GOMAXPROCS suffix (-8 in BenchmarkFoo-8) is stripped so
 // the keys are stable across machines. The document carries provenance
-// under the reserved "_meta" key (commit, GOMAXPROCS, go version);
+// under the reserved "_meta" key (commit, whether the working tree had
+// uncommitted changes, GOMAXPROCS, go version);
 // -compare ignores "_"-prefixed keys, so records with and without
 // metadata diff cleanly.
 //
@@ -40,6 +41,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -69,7 +71,10 @@ type Result struct {
 // they were measured with. Keys starting with "_" are ignored by -compare,
 // so older records without metadata still diff cleanly.
 type Meta struct {
-	Commit     string `json:"commit,omitempty"`
+	Commit string `json:"commit,omitempty"`
+	// Dirty records that tracked files differed from Commit, so the
+	// numbers were measured on an uncommitted working tree atop it.
+	Dirty      bool   `json:"dirty,omitempty"`
 	GoMaxProcs int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 }
@@ -80,6 +85,10 @@ func currentMeta() Meta {
 	m := Meta{GoMaxProcs: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
 	if out, err := exec.Command("git", "rev-parse", "HEAD").Output(); err == nil {
 		m.Commit = strings.TrimSpace(string(out))
+		// git diff --quiet exits 1 exactly when tracked files differ.
+		var exit *exec.ExitError
+		err := exec.Command("git", "diff", "--quiet", "HEAD").Run()
+		m.Dirty = errors.As(err, &exit) && exit.ExitCode() == 1
 	}
 	return m
 }

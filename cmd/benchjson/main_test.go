@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -83,6 +84,48 @@ func TestCurrentMetaRecordsRuntime(t *testing.T) {
 	}
 	if !strings.HasPrefix(m.GoVersion, "go") {
 		t.Fatalf("GoVersion = %q, want a go version string", m.GoVersion)
+	}
+}
+
+// TestCurrentMetaMarksDirtyTree checks that _meta names the commit and
+// flags a working tree whose tracked files differ from it.
+func TestCurrentMetaMarksDirtyTree(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	git := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false"}, args...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	file := filepath.Join(dir, "f")
+	if err := os.WriteFile(file, []byte("a\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	git("init", "-q")
+	git("add", "f")
+	git("commit", "-q", "-m", "c")
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer os.Chdir(wd)
+
+	if m := currentMeta(); m.Commit == "" || m.Dirty {
+		t.Fatalf("clean tree: meta %+v, want a commit and not dirty", m)
+	}
+	if err := os.WriteFile(file, []byte("b\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if m := currentMeta(); !m.Dirty {
+		t.Fatalf("modified tree: meta %+v, want dirty", m)
 	}
 }
 

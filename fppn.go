@@ -216,7 +216,7 @@ type (
 	ExecPlan = rt.Plan
 	// RunState is the per-run execution context of a compiled plan:
 	// repeated-execution callers create one via ExecPlan.NewRunState and
-	// reuse it so capacity hints survive across runs.
+	// reuse it so its warm arenas survive across runs.
 	RunState = rt.RunState
 )
 

@@ -1,8 +1,8 @@
 package analyzers
 
 // poollife is the pooled-RunState lifetime typestate pass. The serving
-// layer recycles plan.RunState values through per-frame-count
-// sync.Pools, under a protocol the runtime can only document: Acquire
+// layer recycles plan.RunState values through per-frame-count free
+// lists, under a protocol the runtime can only document: Acquire
 // marks a state owned by one request, Release returns it to the pool
 // (first call wins), Reset re-arms it, and every *Report a Run produces
 // aliases the state's internal arenas — it is valid only until the next
@@ -12,8 +12,7 @@ package analyzers
 //
 // The pass enforces the protocol statically. Per function it tracks
 // which locals are RunStates (parameters, receivers, NewRunState-style
-// constructor results recognized by declared result type, and
-// *plan.RunState type assertions as used by the pool path), which locals
+// constructor results recognized by declared result type), which locals
 // are reports (bound from a Run call, including through a method value
 // run := rs.Run, or derived from another report by selection, indexing,
 // slicing, or ranging — call results are fresh values and break the
@@ -584,19 +583,10 @@ func (w *poolWalker) call(e *ast.CallExpr, deferred bool) string {
 		}
 		return ""
 	}
-	put := false
 	if sel, ok := e.Fun.(*ast.SelectorExpr); ok {
 		w.scan(sel.X)
-		put = sel.Sel.Name == "Put"
 	}
 	for _, a := range e.Args {
-		// Handing a released state back to a pool (x.Put(rs)) is the
-		// designed completion of Release, not a use of the state.
-		if put {
-			if id, ok := a.(*ast.Ident); ok && w.states[id.Name] != nil {
-				continue
-			}
-		}
 		w.scan(a)
 	}
 	return w.applySummaries(e, deferred)
@@ -781,15 +771,6 @@ func (w *poolWalker) bareReportRef(e ast.Expr) (poolReport, bool) {
 	return poolReport{}, false
 }
 
-// assertedState reports whether a type assertion names a tracked state.
-func (w *poolWalker) assertedState(ta *ast.TypeAssertExpr) bool {
-	if ta.Type == nil {
-		return false
-	}
-	dir, typ, ok := moduleTypeOf(w.p, w.n, ta.Type)
-	return ok && poolStateTypes[dir][typ]
-}
-
 func (w *poolWalker) assign(s *ast.AssignStmt) {
 	for _, lhs := range s.Lhs {
 		if _, ok := lhs.(*ast.Ident); ok {
@@ -831,14 +812,6 @@ func (w *poolWalker) assign(s *ast.AssignStmt) {
 			if id != nil && i < len(results) && results[i] {
 				w.states[id.Name] = &poolState{}
 			}
-		}
-	case len(s.Rhs) == 1 && len(s.Lhs) >= 1 && isAssert(s.Rhs[0]):
-		ta := s.Rhs[0].(*ast.TypeAssertExpr)
-		if id := w.untrack(s.Lhs[0]); id != nil && w.assertedState(ta) {
-			w.states[id.Name] = &poolState{}
-		}
-		for _, lhs := range s.Lhs[1:] {
-			w.untrack(lhs)
 		}
 	case len(s.Lhs) == len(s.Rhs):
 		for i, lhs := range s.Lhs {
@@ -887,11 +860,6 @@ func (w *poolWalker) assign(s *ast.AssignStmt) {
 			w.untrack(lhs)
 		}
 	}
-}
-
-func isAssert(e ast.Expr) bool {
-	_, ok := e.(*ast.TypeAssertExpr)
-	return ok
 }
 
 func (w *poolWalker) ret(s *ast.ReturnStmt) {

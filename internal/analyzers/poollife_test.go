@@ -152,25 +152,19 @@ func Escape(rs *plan.RunState) *plan.Report {
 }
 
 // The blessed shape — run, read the report, release only after the last
-// read — is clean, and handing a released state back to a pool via Put
-// is the designed completion of Release, not a use.
+// read — is clean.
 func TestPoolLifeHappyPathClean(t *testing.T) {
 	diags := only(checkAll(t, poolFixture(`package serve
 
-import (
-	"sync"
+import "fixture/internal/plan"
 
-	"fixture/internal/plan"
-)
-
-func Serve(pool *sync.Pool, rs *plan.RunState) int {
+func Serve(rs *plan.RunState) int {
 	rep, err := rs.Run()
 	if err != nil {
 		return 0
 	}
 	n := len(rep.Entries)
 	rs.Release()
-	pool.Put(rs)
 	return n
 }
 `)), "poollife")

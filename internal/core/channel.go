@@ -93,10 +93,9 @@ type channelState interface {
 }
 
 // fifoState implements channelState with queue semantics over a ring
-// buffer. When the backing storage is pre-sized to the channel's static
-// high-water bound (see MachineOptions.FIFOCapacity), steady-state
-// execution never allocates; an underestimated capacity only costs a
-// doubling copy, never correctness.
+// buffer that grows by doubling and keeps its storage across reset, so
+// once a pooled machine has seen a run's high-water occupancy, replaying
+// it never allocates.
 type fifoState struct {
 	buf  []Value
 	head int

@@ -26,14 +26,17 @@ func TestAnalyzeOverflowReturnsError(t *testing.T) {
 		tg.Succ = append(tg.Succ, nil)
 		tg.Pred = append(tg.Pred, nil)
 	}
-	rep, err := Analyze(tg, 2, Options{})
-	if err == nil {
-		t.Fatalf("Analyze accepted an overflowing task graph: rep=%v", rep)
-	}
-	if !strings.Contains(err.Error(), "feas: analysis overflow") {
-		t.Fatalf("error %q does not carry the overflow marker", err)
-	}
-	if rep != nil {
-		t.Fatalf("non-nil report alongside the overflow error: %v", rep)
+	// Workers 4 fans out even on one CPU; 0 is the GOMAXPROCS default.
+	for _, workers := range []int{0, 1, 4} {
+		rep, err := Analyze(tg, 2, Options{Workers: workers})
+		if err == nil {
+			t.Fatalf("workers=%d: Analyze accepted an overflowing task graph: rep=%v", workers, rep)
+		}
+		if !strings.Contains(err.Error(), "feas: analysis overflow") {
+			t.Fatalf("workers=%d: error %q does not carry the overflow marker", workers, err)
+		}
+		if rep != nil {
+			t.Fatalf("workers=%d: non-nil report alongside the overflow error: %v", workers, rep)
+		}
 	}
 }

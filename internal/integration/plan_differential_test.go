@@ -147,6 +147,72 @@ func TestPlanMatchesReferencePaperApps(t *testing.T) {
 	}
 }
 
+// TestPlanPipelinedFMSMatchesReference runs FMS over several overlapping
+// frames (Pipelined: true), the one mode that reads the plan's interned
+// related-pid lists: every job waits for the previous frame's jobs of its
+// FP'-related processes. The compiled report must match rt.RunReference,
+// which evaluates the same rule through string-keyed Related lookups,
+// byte for byte, and the outputs must still be the zero-delay ones.
+func TestPlanPipelinedFMSMatchesReference(t *testing.T) {
+	t.Parallel()
+	const frames = 4
+	net := fms.New()
+	base, err := taskgraph.Derive(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := taskgraph.DeriveOpts(net, taskgraph.Options{DeadlineSlack: base.Hyperperiod})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One processor per process: static chains then never order two
+	// processes, so only the cross-frame rule orders related ones.
+	s, err := sched.PipelineSchedule(tg, len(net.Processes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tg.Hyperperiod
+	events := map[string][]core.Time{
+		fms.AnemoConfig:      {rational.Milli(40), h.Add(rational.Milli(40))},
+		fms.MagnDeclinConfig: {rational.Milli(500), h.MulInt(2).Add(rational.Milli(500))},
+	}
+	inputs := fms.Inputs(400)
+	// Even-frame jobs overrun by H/2..H/6, so their tails spill into the
+	// next frame and the cross-frame rule decides start times there.
+	slowEven := func(j *taskgraph.Job, frame int) core.Time {
+		if frame%2 == 0 {
+			return j.WCET.Add(h.Div(rational.New(int64(2+j.Index%5), 1)))
+		}
+		return j.WCET
+	}
+	cfg := rt.Config{Frames: frames, Pipelined: true, SporadicEvents: events, Inputs: inputs, Exec: slowEven}
+	got, err := rt.Run(s, cfg)
+	if err != nil {
+		t.Fatalf("compiled pipelined run: %v", err)
+	}
+	want, err := rt.RunReference(s, cfg)
+	if err != nil {
+		t.Fatalf("reference pipelined run: %v", err)
+	}
+	if g, w := reportJSON(t, got), reportJSON(t, want); g != w {
+		t.Fatalf("compiled pipelined FMS report JSON diverges from reference")
+	}
+	if !reflect.DeepEqual(got.Outputs, want.Outputs) {
+		t.Fatalf("compiled pipelined FMS outputs diverge: %s",
+			core.DiffSamples(want.Outputs, got.Outputs))
+	}
+	ref, err := core.RunZeroDelay(net, h.MulInt(frames), core.ZeroDelayOptions{
+		SporadicEvents: events, Inputs: inputs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !core.SamplesEqual(ref.Outputs, got.Outputs) {
+		t.Fatalf("pipelined FMS run diverges from zero-delay: %s",
+			core.DiffSamples(ref.Outputs, got.Outputs))
+	}
+}
+
 // TestPlanMatchesReferenceRandomNetworks sweeps ≥50 random networks (raise
 // with FPPN_FUZZ_TRIALS): every compiled engine must agree with its
 // reference under random sporadic events, external inputs and

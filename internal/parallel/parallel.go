@@ -10,7 +10,10 @@
 //     goroutine interleaving.
 //   - Errors are ranked by work-unit index and the lowest-index error is
 //     returned — exactly the error a sequential left-to-right loop would
-//     have stopped at.
+//     have stopped at. A panicking work unit ranks like an error: the
+//     worker recovers it and the caller's goroutine re-panics with the
+//     original value, so no panic escapes on a worker goroutine and a
+//     recover in the caller works at any worker count.
 //   - The concurrency knob is injectable everywhere (Options-style Workers
 //     fields across the repository default to 0 = GOMAXPROCS); tests force
 //     workers = 1 to obtain the reference sequential execution and assert
@@ -44,7 +47,9 @@ func Workers(w int) int {
 //
 // If any fn returns an error, ForEach returns the error with the lowest
 // index — the same error a sequential loop would return — after all
-// in-flight units finish; units not yet started are skipped. A nil ctx
+// in-flight units finish; units not yet started are skipped. If the
+// lowest failing unit panicked instead, ForEach re-panics on the calling
+// goroutine with the recovered value, after the same wait. A nil ctx
 // never cancels; with a cancelled ctx, ForEach stops dispatching and
 // returns ctx.Err() unless an fn error outranks it.
 func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
@@ -74,11 +79,13 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 		mu       sync.Mutex
 		firstIdx = n
 		firstErr error
+		panicked bool
+		panicVal any
 	)
-	record := func(i int, err error) {
+	record := func(i int, err error, isPanic bool, v any) {
 		mu.Lock()
 		if i < firstIdx {
-			firstIdx, firstErr = i, err
+			firstIdx, firstErr, panicked, panicVal = i, err, isPanic, v
 		}
 		mu.Unlock()
 		stop.Store(true)
@@ -87,22 +94,31 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int) error) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			i := -1
+			defer func() {
+				if v := recover(); v != nil {
+					record(i, nil, true, v)
+				}
+			}()
 			for {
 				if stop.Load() || (ctx != nil && ctx.Err() != nil) {
 					return
 				}
-				i := int(next.Add(1)) - 1
+				i = int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
 				if err := fn(i); err != nil {
-					record(i, err)
+					record(i, err, false, nil)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if panicked {
+		panic(panicVal)
+	}
 	if firstErr != nil {
 		return firstErr
 	}

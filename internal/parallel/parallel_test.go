@@ -144,3 +144,79 @@ func TestEmptyRangeIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// catch runs f and returns the value it panicked with, or nil.
+func catch(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
+}
+
+// TestWorkerPanicReachesCaller pins that a panic inside a work unit never
+// escapes on a worker goroutine (which would kill the process): the caller
+// re-panics with the original value of the lowest panicking index, so a
+// recover on the calling goroutine works exactly as in the sequential loop.
+// workers = 4 is forced so the fan-out runs even on a single CPU.
+func TestWorkerPanicReachesCaller(t *testing.T) {
+	t.Parallel()
+	const workers = 4
+	boom := func(i int) error {
+		if i >= 10 {
+			panic(fmt.Sprintf("unit %d panicked", i))
+		}
+		return nil
+	}
+	want := catch(func() { _ = ForEach(nil, 1000, 1, boom) })
+	if want != "unit 10 panicked" {
+		t.Fatalf("sequential reference panic = %v", want)
+	}
+	if got := catch(func() { _ = ForEach(nil, 1000, workers, boom) }); got != want {
+		t.Fatalf("ForEach: panic %v, want %v", got, want)
+	}
+	got := catch(func() {
+		_ = ForEachChunk(nil, 1000, workers, func(lo, hi int) error {
+			if lo > 0 {
+				panic(lo)
+			}
+			return nil
+		})
+	})
+	if _, ok := got.(int); !ok || got == 0 {
+		t.Fatalf("ForEachChunk: panic %v, want the lowest panicking chunk start", got)
+	}
+	if got := catch(func() {
+		_, _ = Map(nil, 100, workers, func(i int) (int, error) {
+			if i == 42 {
+				panic(i)
+			}
+			return i, nil
+		})
+	}); got != 42 {
+		t.Fatalf("Map: panic %v, want 42", got)
+	}
+}
+
+// TestLowerIndexErrorOutranksPanic: errors and panics share one ranking,
+// so an error at a lower index than every panic is returned (the
+// sequential loop would stop there) and nothing panics.
+func TestLowerIndexErrorOutranksPanic(t *testing.T) {
+	t.Parallel()
+	fn := func(i int) error {
+		switch {
+		case i == 3:
+			return fmt.Errorf("unit %d failed", i)
+		case i >= 5:
+			panic(i)
+		}
+		return nil
+	}
+	for _, workers := range []int{1, 4} {
+		var err error
+		if v := catch(func() { err = ForEach(nil, 100, workers, fn) }); v != nil {
+			t.Fatalf("workers=%d: panicked with %v, want the index-3 error", workers, v)
+		}
+		if err == nil || err.Error() != "unit 3 failed" {
+			t.Fatalf("workers=%d: error %v, want unit 3 failed", workers, err)
+		}
+	}
+}

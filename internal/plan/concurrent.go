@@ -186,12 +186,7 @@ func (rs *RunState) RunConcurrent(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	fifoCap, outCap := rs.capacities(cfg.Frames)
-	machine, err := rs.acquireMachine(core.MachineOptions{
-		Inputs:         cfg.Inputs,
-		FIFOCapacity:   fifoCap,
-		OutputCapacity: outCap,
-	})
+	machine, err := rs.acquireMachine(core.MachineOptions{Inputs: cfg.Inputs})
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/rational"
 	"repro/internal/sched"
-	"repro/internal/staticflow"
 	"repro/internal/taskgraph"
 )
 
@@ -405,20 +404,9 @@ type Plan struct {
 	// executed interval, and Job.Name formats a fresh string per call.
 	jobName []string
 	// relPids[pid] lists the pids FP'-related to pid (including itself),
-	// for the pipelined cross-frame precedence rule.
+	// ascending, for the pipelined cross-frame precedence rule.
 	relPids [][]int
-	// buffers is the eventless two-frame static buffer profile, used by
-	// RunState to preallocate FIFO rings and output slices in
-	// Run/RunConcurrent. nil when the sweep was skipped (oversized
-	// frame); capacities are hints only, so execution is identical
-	// either way.
-	buffers *staticflow.BufferProfile
 }
-
-// maxProfiledFrameJobs skips the compile-time buffer sweep on frames too
-// large to enumerate twice more; preallocation is an optimization, not a
-// requirement.
-const maxProfiledFrameJobs = 100_000
 
 // Compile lowers a static schedule into an execution plan. It validates
 // the network once (interning it), checks the schedule against the
@@ -481,29 +469,44 @@ func CompileOpts(s *sched.Schedule, opts CompileOptions) (*Plan, error) {
 		}
 		p.jobPid[i] = pid
 	}
-	if p.order, err = combinedOrder(s); err != nil {
+	if p.order, err = combinedOrder(s, p.procOrder); err != nil {
 		return nil, err
 	}
-	// Related-pid lists for pipelined cross-frame precedence.
-	np := cn.NumProcesses()
-	p.relPids = make([][]int, np)
-	for a := 0; a < np; a++ {
-		for b := 0; b < np; b++ {
-			if tg.Related(cn.ProcName(a), cn.ProcName(b)) {
-				p.relPids[a] = append(p.relPids[a], b)
-			}
-		}
-	}
-	// Static buffer profile for FIFO/output preallocation. The sweep is
-	// eventless (the plan is compiled before any event schedule exists),
-	// so sporadic writers may push occupancy past the hint at run time —
-	// harmless, because capacities are hints and rings grow on demand.
-	if n <= maxProfiledFrameJobs {
-		if prof, err := staticflow.Buffers(tg.Net, 2, nil); err == nil {
-			p.buffers = prof
-		}
+	if p.relPids, err = relatedPids(tg, cn.NumProcesses()); err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// relatedPids lowers the task graph's interned FP'-related lists (in
+// Net.Processes() order, which is the compiled pid order) to the plan's
+// self-inclusive pid lists, in O(P + Σ|related|) and one backing array.
+func relatedPids(tg *taskgraph.TaskGraph, np int) ([][]int, error) {
+	rel := tg.RelatedIndices()
+	if len(rel) != np {
+		return nil, fmt.Errorf("rt: task graph has related lists for %d processes, the network has %d", len(rel), np)
+	}
+	total := np
+	for _, qs := range rel {
+		total += len(qs)
+	}
+	backing := make([]int, 0, total)
+	out := make([][]int, np)
+	for a, qs := range rel {
+		lo := len(backing)
+		self := false
+		for _, q := range qs {
+			if !self && a < int(q) {
+				backing, self = append(backing, a), true
+			}
+			backing = append(backing, int(q))
+		}
+		if !self {
+			backing = append(backing, a)
+		}
+		out[a] = backing[lo:len(backing):len(backing)]
+	}
+	return out, nil
 }
 
 // TaskGraph returns the task graph the plan executes.
@@ -513,9 +516,10 @@ func (p *Plan) TaskGraph() *taskgraph.TaskGraph { return p.tg }
 func (p *Plan) Compiled() *core.CompiledNet { return p.cn }
 
 // combinedOrder returns a topological order of the frame's jobs with
-// respect to precedence edges plus per-processor static chains. It fails if
-// the static schedule contradicts the precedence constraints.
-func combinedOrder(s *sched.Schedule) ([]int, error) {
+// respect to precedence edges plus the per-processor static chains of
+// procOrder (s.ProcessorOrder()). It fails if the static schedule
+// contradicts the precedence constraints.
+func combinedOrder(s *sched.Schedule, procOrder [][]int) ([]int, error) {
 	tg := s.TG
 	n := len(tg.Jobs)
 	adj := make([][]int, n)
@@ -527,7 +531,7 @@ func combinedOrder(s *sched.Schedule) ([]int, error) {
 	for _, e := range tg.Edges() {
 		add(e[0], e[1])
 	}
-	for _, chain := range s.ProcessorOrder() {
+	for _, chain := range procOrder {
 		for i := 1; i < len(chain); i++ {
 			add(chain[i-1], chain[i])
 		}

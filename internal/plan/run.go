@@ -33,12 +33,9 @@ func (rs *RunState) Run(cfg Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	fifoCap, outCap := rs.capacities(cfg.Frames)
 	machine, err := rs.acquireMachine(core.MachineOptions{
-		Inputs:         cfg.Inputs,
-		RecordTrace:    cfg.RecordTrace,
-		FIFOCapacity:   fifoCap,
-		OutputCapacity: outCap,
+		Inputs:      cfg.Inputs,
+		RecordTrace: cfg.RecordTrace,
 	})
 	if err != nil {
 		return nil, err

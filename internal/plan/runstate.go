@@ -5,13 +5,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/sched"
-	"repro/internal/staticflow"
 )
 
 // RunState is the per-run mutable execution context of a compiled plan.
 // A Plan is immutable after Compile and safe to share between goroutines;
-// everything a run mutates lives here: the frame-keyed capacity hints, the
-// pooled data machine, and the arenas the planner and report writer fill.
+// everything a run mutates lives here: the pooled data machine and the
+// arenas the planner and report writer fill. The arenas (FIFO rings, output
+// slices, plan and report slices) grow on demand and survive across runs.
 // A RunState is NOT safe for concurrent use: give each goroutine its own.
 //
 // Reusing one RunState across runs is the steady-state replay path: after
@@ -22,8 +22,9 @@ import (
 // planInto) returned by a run on this state aliases the state's arenas and
 // is valid only until the next Run/RunConcurrent call on the same state;
 // callers that need to keep a report across runs must deep-copy it first.
-// Pool owners (internal/serve) must therefore serialize or copy a request's
-// report before the state is released back to the free pool.
+// Pool owners (internal/serve's per-entry free lists) must therefore
+// serialize or copy a request's report before the state is released back
+// to the free list.
 type RunState struct {
 	p *Plan
 
@@ -33,13 +34,6 @@ type RunState struct {
 	// double-release from two goroutines still hands the state to the
 	// pool exactly once.
 	released uint32
-
-	// Capacity maps are cached per frame count: the maps are read-only
-	// for the machine, so repeated runs of the same frame count share
-	// them instead of rebuilding two maps per run.
-	capFrames int
-	capFIFO   map[string]int
-	capOut    map[string]int
 
 	// machine is the pooled data machine: built on the first run,
 	// Reset (not reconstructed) on every following one.
@@ -73,7 +67,7 @@ type RunState struct {
 // one-shot callers can use the Plan.Run / Plan.RunConcurrent conveniences,
 // which allocate a RunState per call.
 func (p *Plan) NewRunState() *RunState {
-	return &RunState{p: p, capFrames: -1}
+	return &RunState{p: p}
 }
 
 // Plan returns the immutable compiled plan this state executes.
@@ -87,7 +81,7 @@ func (rs *RunState) Plan() *Plan { return rs.p }
 // it back into an owner's free pool a second time.
 func (rs *RunState) Reset() {
 	released := atomic.LoadUint32(&rs.released)
-	*rs = RunState{p: rs.p, capFrames: -1}
+	*rs = RunState{p: rs.p}
 	atomic.StoreUint32(&rs.released, released)
 }
 
@@ -101,8 +95,9 @@ func (rs *RunState) Acquire() {
 // Release marks the state as returned to an owner-managed free pool and
 // reports whether this call performed the hand-back: the first Release
 // after an Acquire returns true, every further one returns false. Owners
-// must park the state (sync.Pool.Put or equivalent) only when Release
-// returns true — that makes an accidental double-release idempotent
+// must park a state at most once per Acquire — only when Release returns
+// true, or, when the free list has its own lock, only if Released was
+// false under that lock — so an accidental double-release is idempotent
 // instead of handing one state to two concurrent requests.
 func (rs *RunState) Release() bool {
 	return atomic.CompareAndSwapUint32(&rs.released, 0, 1)
@@ -112,22 +107,6 @@ func (rs *RunState) Release() bool {
 // owner-managed free pool.
 func (rs *RunState) Released() bool {
 	return atomic.LoadUint32(&rs.released) == 1
-}
-
-// capacities returns the FIFO ring and external-output capacity hints for
-// a run of the given frame count, rebuilding the cached maps when the
-// frame count changes.
-func (rs *RunState) capacities(frames int) (fifo, output map[string]int) {
-	p := rs.p
-	if p.buffers == nil {
-		return nil, nil
-	}
-	if rs.capFrames != frames {
-		rs.capFIFO = p.buffers.FIFOCapacities(frames)
-		rs.capOut = staticflow.OutputCapacities(p.tg.Net, frames)
-		rs.capFrames = frames
-	}
-	return rs.capFIFO, rs.capOut
 }
 
 // acquireMachine returns the pooled machine reset for a new run, building

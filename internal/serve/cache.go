@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,7 +16,7 @@ import (
 // cacheKey addresses one compiled pipeline: the content digest of the
 // canonical model JSON plus the scheduling parameters. Everything derived
 // from the same (model, M, heuristic) triple — validated network, task
-// graph, static schedule, compiled plan, pooled run states, per-frame
+// graph, static schedule, compiled plan, free run states, per-frame
 // input tables — hangs off the one Entry stored under this key.
 type cacheKey struct {
 	digest    string
@@ -26,8 +27,8 @@ type cacheKey struct {
 // Entry is one cached compile pipeline. The artifacts (TG, Schedule, Plan)
 // are immutable after compile — plan immutability is enforced repo-wide by
 // the planfreeze analyzer — so one Entry safely serves any number of
-// concurrent requests; all per-run mutable state lives in the pooled
-// RunStates.
+// concurrent requests; all per-run mutable state lives in the RunStates
+// of its free lists.
 type Entry struct {
 	// Model is the canonicalized, digested source model.
 	Model *cli.Model
@@ -45,13 +46,29 @@ type Entry struct {
 	cost    int64
 	metrics *Metrics
 
-	// mu guards the frames-keyed sub-caches below. Pools are bucketed by
-	// frame count so a recycled RunState's frame-keyed capacity cache and
-	// arena sizes match the next request of the same shape — states never
-	// ping-pong between frame counts.
-	mu     sync.Mutex
-	pools  map[int]*sync.Pool
-	inputs map[int]map[string][]core.Value
+	// mu guards the fields below. free holds the idle RunStates, oldest
+	// first, each with the frame count it last ran: a request takes the
+	// newest state of its own frame count, so a recycled state's arena
+	// sizes match its next run and states never ping-pong between frame
+	// counts. inFlight counts the states checked out and peak is its
+	// high-water mark. The entry keeps at most peak states, parked plus in
+	// flight, across all frame counts: a request that finds no state of its
+	// frame count drops the oldest parked state once the bound is reached,
+	// before it creates its own. A client stepping through frame counts
+	// thus holds one state, not one per count. The states' memory goes when
+	// the LRU evicts the entry. Unlike a sync.Pool, the list never drops
+	// states across GCs: reuse is deterministic.
+	mu       sync.Mutex
+	free     []idleState
+	inFlight int
+	peak     int
+	inputs   map[int]map[string][]core.Value
+}
+
+// idleState is one parked RunState and the frame count it last ran.
+type idleState struct {
+	frames int
+	rs     *plan.RunState
 }
 
 // entryBaseCost approximates the fixed footprint of a cached pipeline and
@@ -64,19 +81,26 @@ const (
 )
 
 // AcquireState checks a RunState for the given frame count out of the
-// entry's free pool, creating one when the pool is empty. Warm states
-// carry their arenas and frame-keyed capacity hints from previous runs, so
+// entry's free list, creating one when no state of that frame count is
+// parked. Warm states carry their arenas from previous runs, so
 // steady-state requests replay on the zero-alloc path.
 func (e *Entry) AcquireState(frames int) *plan.RunState {
 	e.mu.Lock()
-	p, ok := e.pools[frames]
-	if !ok {
-		p = &sync.Pool{}
-		e.pools[frames] = p
+	e.inFlight++
+	e.peak = max(e.peak, e.inFlight)
+	var rs *plan.RunState
+	for i := len(e.free) - 1; i >= 0; i-- {
+		if e.free[i].frames == frames {
+			rs = e.free[i].rs
+			e.free = slices.Delete(e.free, i, i+1)
+			break
+		}
+	}
+	if rs == nil && len(e.free) > 0 && len(e.free)+e.inFlight > e.peak {
+		e.free = slices.Delete(e.free, 0, 1)
 	}
 	e.mu.Unlock()
-	rs, ok := p.Get().(*plan.RunState)
-	if !ok {
+	if rs == nil {
 		e.metrics.StatesCreated.Add(1)
 		rs = e.Plan.NewRunState()
 	}
@@ -84,21 +108,20 @@ func (e *Entry) AcquireState(frames int) *plan.RunState {
 	return rs
 }
 
-// ReleaseState returns a state to the pool it was acquired from. The
-// hand-back is idempotent: RunState.Release accepts only the first call
-// after an Acquire, so a double release cannot hand the same state to two
-// concurrent requests. Callers must not touch the run's *Report after this
-// point — it aliases the state's arenas.
+// ReleaseState parks a state acquired for the given frame count. The
+// hand-back is idempotent: under the entry's lock, a state already marked
+// Released is not parked again, so a double release cannot hand the same
+// state to two concurrent requests. Callers must not touch the run's
+// *Report after this point — it aliases the state's arenas.
 func (e *Entry) ReleaseState(frames int, rs *plan.RunState) {
-	if !rs.Release() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if rs.Released() {
 		return
 	}
-	e.mu.Lock()
-	p := e.pools[frames]
-	e.mu.Unlock()
-	if p != nil {
-		p.Put(rs)
-	}
+	e.inFlight--
+	e.free = append(e.free, idleState{frames: frames, rs: rs})
+	rs.Release()
 }
 
 // InputsFor returns the model's deterministic external-input samples for a

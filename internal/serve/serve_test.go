@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/plan"
 )
 
 func newTestServer(t *testing.T, opts Options) *Server {
@@ -155,7 +157,7 @@ func TestCacheSingleflightDeterministic(t *testing.T) {
 	compile := func() (*Entry, error) {
 		atomic.AddInt32(&compiles, 1)
 		<-release
-		return &Entry{cost: 1, metrics: m, pools: map[int]*sync.Pool{}}, nil
+		return &Entry{cost: 1, metrics: m}, nil
 	}
 
 	const n = 8
@@ -214,7 +216,7 @@ func TestCacheCompileErrorsAreNotCached(t *testing.T) {
 	}
 	// Retry succeeds and caches.
 	e, hit, err := c.GetOrCompile(key, func() (*Entry, error) {
-		return &Entry{cost: 1, metrics: m, pools: map[int]*sync.Pool{}}, nil
+		return &Entry{cost: 1, metrics: m}, nil
 	})
 	if err != nil || hit || e == nil {
 		t.Fatalf("retry: e=%v hit=%v err=%v", e, hit, err)
@@ -261,9 +263,7 @@ func TestSimulateWarmPathReusesEverything(t *testing.T) {
 	if got := s.metrics.Compiles.Load(); got != compiles {
 		t.Fatalf("warm traffic ran %d extra compiles", got-compiles)
 	}
-	// Race-mode sync.Pool drops a random fraction of Puts by design, so
-	// the zero-new-states criterion is asserted only in normal builds.
-	if got := s.metrics.StatesCreated.Load(); !raceEnabled && got != states {
+	if got := s.metrics.StatesCreated.Load(); got != states {
 		t.Fatalf("warm sequential traffic created %d extra RunStates, want 0", got-states)
 	}
 }
@@ -300,7 +300,7 @@ func TestSimulatePoolBoundsStatesUnderConcurrency(t *testing.T) {
 	if got := s.metrics.Compiles.Load(); got != 1 {
 		t.Fatalf("Compiles = %d under warm concurrent load, want 1", got)
 	}
-	if got := s.metrics.StatesCreated.Load(); !raceEnabled && got > workers+1 {
+	if got := s.metrics.StatesCreated.Load(); got > workers+1 {
 		t.Fatalf("StatesCreated = %d for %d workers: pool is not reusing states", got, workers)
 	}
 }
@@ -571,7 +571,7 @@ func TestDistinctFrameCountsKeepDistinctPools(t *testing.T) {
 	if got := s.metrics.Compiles.Load(); got != 1 {
 		t.Fatalf("Compiles = %d across frame counts, want 1 (frames is not a cache key)", got)
 	}
-	if got := s.metrics.StatesCreated.Load(); !raceEnabled && got != 3 {
+	if got := s.metrics.StatesCreated.Load(); got != 3 {
 		t.Fatalf("StatesCreated = %d, want 3 (one pool per frame count)", got)
 	}
 }
@@ -599,4 +599,95 @@ func TestResponsesAreSelfConsistent(t *testing.T) {
 		t.Fatalf("scale model executed nothing: %+v", sim)
 	}
 	_ = fmt.Sprintf("%+v", sim) // keep fmt imported alongside future debugging
+}
+
+// TestReleaseStateIsIdempotent pins the free list's hand-back: a second
+// release of the same state does not park it twice, so two later
+// acquisitions get two distinct states, and the recycled one is reused.
+func TestReleaseStateIsIdempotent(t *testing.T) {
+	t.Parallel()
+	s := newTestServer(t, Options{})
+	model, err := s.model("signal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := s.compileEntry(model, 2, "alap-edf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := e.AcquireState(1)
+	e.ReleaseState(1, rs)
+	e.ReleaseState(1, rs)
+	a, b := e.AcquireState(1), e.AcquireState(1)
+	if a == b {
+		t.Fatal("double release parked one state twice: two acquisitions share it")
+	}
+	if a != rs && b != rs {
+		t.Fatal("released state was not reused")
+	}
+	if got := s.metrics.StatesCreated.Load(); got != 2 {
+		t.Fatalf("StatesCreated = %d, want 2 (one recycled, one fresh)", got)
+	}
+}
+
+// TestFreeListBoundedAcrossFrameCounts pins the free list's bound: the
+// states an entry keeps, parked plus in flight, never exceed its peak
+// concurrency, whatever frame counts the requests sweep. One client
+// stepping through frame counts holds one state, not one per count.
+func TestFreeListBoundedAcrossFrameCounts(t *testing.T) {
+	t.Parallel()
+	s := newTestServer(t, Options{})
+	e, _, err := s.resolve(&jobRequest{App: "signal", M: 2, Heuristic: "alap-edf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := func() int {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return len(e.free)
+	}
+
+	// One client: a sweep over 64 frame counts keeps one state.
+	const sweep = 64
+	for frames := 1; frames <= sweep; frames++ {
+		req := map[string]any{"app": "signal", "frames": frames}
+		if code := post(t, s, "/simulate", req, nil); code != http.StatusOK {
+			t.Fatalf("simulate frames=%d: status %d", frames, code)
+		}
+		if got := parked(); got != 1 {
+			t.Fatalf("after frames=%d: %d parked states, want 1", frames, got)
+		}
+	}
+	if got := s.metrics.StatesCreated.Load(); got != sweep {
+		t.Fatalf("StatesCreated = %d over the sweep, want %d", got, sweep)
+	}
+	// The last frame count's state is the one kept, and it is reused.
+	if code := post(t, s, "/simulate", map[string]any{"app": "signal", "frames": sweep}, nil); code != http.StatusOK {
+		t.Fatalf("simulate frames=%d: status %d", sweep, code)
+	}
+	if got := s.metrics.StatesCreated.Load(); got != sweep {
+		t.Fatalf("repeating frames=%d created a state: StatesCreated = %d", sweep, got)
+	}
+
+	// Three concurrent holders raise the bound to three; a later
+	// sequential sweep over other frame counts keeps it there.
+	held := []*plan.RunState{e.AcquireState(101), e.AcquireState(102), e.AcquireState(103)}
+	for i, rs := range held {
+		e.ReleaseState(101+i, rs)
+	}
+	if got := parked(); got != 3 {
+		t.Fatalf("%d parked states after three concurrent holders, want 3", got)
+	}
+	for frames := 200; frames < 200+sweep; frames++ {
+		e.ReleaseState(frames, e.AcquireState(frames))
+		if got := parked(); got > 3 {
+			t.Fatalf("after frames=%d: %d parked states, want at most 3", frames, got)
+		}
+	}
+	// Parked states of the most recent counts survive; the oldest went.
+	before := s.metrics.StatesCreated.Load()
+	e.ReleaseState(200+sweep-1, e.AcquireState(200+sweep-1))
+	if got := s.metrics.StatesCreated.Load(); got != before {
+		t.Fatalf("the newest frame count's state was dropped: %d new states", got-before)
+	}
 }

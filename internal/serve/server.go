@@ -9,8 +9,9 @@
 // misses so N concurrent first-requests trigger exactly one compile.
 // Compiled plans are immutable (enforced by the planfreeze analyzer), so
 // one cached plan serves concurrent /simulate requests; per-request state
-// comes from per-plan, per-frame-count pools of plan.RunState whose warm
-// arenas replay on the zero-alloc steady-state path.
+// comes from a per-plan free list of plan.RunState, matched by frame count
+// and bounded by the plan's peak concurrency, whose warm arenas replay on
+// the zero-alloc steady-state path.
 //
 // Endpoints: POST /compile, POST /simulate, POST /analyze (lint +
 // schedulability + happens-before verdicts), GET /healthz, GET /metrics
@@ -304,7 +305,6 @@ func (s *Server) compileEntry(model *cli.Model, m int, heuristic string) (*Entry
 		CompileTime: time.Since(start),
 		cost:        entryBaseCost + int64(len(tg.Jobs))*entryJobCost,
 		metrics:     s.metrics,
-		pools:       make(map[int]*sync.Pool),
 		inputs:      make(map[int]map[string][]core.Value),
 	}, nil
 }

@@ -139,29 +139,6 @@ func TestBuffersRejectsIllFormedInput(t *testing.T) {
 	}
 }
 
-func TestFIFOCapacitiesExtrapolate(t *testing.T) {
-	p, err := Buffers(rateMismatch(false), 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Backlog grows by 3 per frame (high water 6 after 2 frames), so a
-	// 4-frame run needs 6 + 3·2 slots.
-	if got := p.FIFOCapacities(2)["x"]; got != 6 {
-		t.Fatalf("FIFOCapacities(2)[x] = %d, want 6", got)
-	}
-	if got := p.FIFOCapacities(4)["x"]; got != 12 {
-		t.Fatalf("FIFOCapacities(4)[x] = %d, want 12", got)
-	}
-
-	balanced, err := Buffers(rateMismatch(true), 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := balanced.FIFOCapacities(10)["x"]; got != 4 {
-		t.Fatalf("balanced FIFOCapacities(10)[x] = %d, want the high-water 4", got)
-	}
-}
-
 func TestSuggestFPFlipsToPreserveAcyclicity(t *testing.T) {
 	// Channel a -> b is uncovered while b already reaches a through
 	// b -> c -> a, so the data-flow orientation a -> b would close a

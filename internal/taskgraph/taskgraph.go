@@ -105,6 +105,10 @@ type TaskGraph struct {
 
 	index   map[string]map[int64]int // proc -> k -> job index
 	related map[string]map[string]bool
+	// relPid is the interned form of related, shared with the edge
+	// pipeline: process index (Net.Processes() order) -> the sorted
+	// indices of the processes FP'-related to it, itself excluded.
+	relPid [][]int32
 
 	// edges memoizes Edges(): the reduced edge list in lexicographic
 	// order, computed eagerly at derivation so repeated calls (scheduling,
@@ -124,6 +128,14 @@ type TaskGraph struct {
 func (tg *TaskGraph) Related(p, q string) bool {
 	return p == q || tg.related[p][q]
 }
+
+// RelatedIndices is Related on interned process indices: entry p lists, in
+// ascending order, the indices of the processes FP'-related to process p,
+// where indices follow Net.Processes() order (the pid order of
+// core.CompiledNet). A process is not listed as related to itself. The
+// lists are shared with the task graph and must not be modified; they are
+// nil for a TaskGraph not built by Derive.
+func (tg *TaskGraph) RelatedIndices() [][]int32 { return tg.relPid }
 
 // EdgeCount returns the number of precedence edges after transitive
 // reduction.
@@ -365,6 +377,7 @@ func DeriveOpts(net *core.Network, opts Options) (*TaskGraph, error) {
 	related := relatedSets(net, user)
 	tg.related = related
 	ec := newEdgeCtx(net, jobs, related, jobPid)
+	tg.relPid = ec.relPid
 	cand := candidateEdges(ec, len(jobs), workers)
 	tg.CandidateEdgeCount = countEdges(cand)
 
